@@ -144,7 +144,7 @@ struct RowsView {
 /// receives whatever morsels its worker claimed, so the same source (and
 /// the same device) may accumulate into several states. Every merged
 /// quantity is therefore commutative-exact — integral sums, min/max,
-/// bitwise OR, and set unions — and the fan-in/finalize reduction walks
+/// bitwise OR, and set unions — and the fan-in/report reduction reads
 /// states in fixed order: the disjoint layouts are just the special case
 /// where each key appears once, which is what keeps the three schedules
 /// byte-identical.
@@ -153,26 +153,35 @@ struct RowsView {
 /// (util::FlatSet/FlatMap): inserts never allocate once a table reaches
 /// its high-water capacity and the per-hour scratch sets clear by epoch
 /// bump, so steady-state observe() performs zero heap allocations per
-/// record. Cross-hour per-device maps (the victim series) stay
-/// node-based — they are keyed per device, not per record, and
-/// finalize() merges them by element-wise addition.
+/// record. Cross-hour distinct-device state (the (port, device) and
+/// (service, device) pair sets and their counts) is not kept here: a
+/// state records only the hour's pairs, and the coordinator folds them
+/// into its own cross-hour sets at fan-in. Cross-hour per-device maps
+/// (the victim series) stay node-based — they are keyed per device, not
+/// per record, and the report build sums them only at spike hours.
 struct AnalysisPipeline::ShardState {
   /// Sentinel for "no record seen yet" — larger than any real
   /// ((observe sequence << 32) | record index) stream position.
   static constexpr std::uint64_t kNeverSeen = ~0ULL;
+
+  /// Sentinel position of a ledger whose hour has not reached fan-in.
+  static constexpr std::uint32_t kUnplaced = ~0u;
 
   /// A device ledger plus its first sighting in the observation stream:
   /// the minimum ((observe-call sequence << 32) | record index) over the
   /// records THIS state processed, with the class and packet count of
   /// that minimum record. Min-tracked per record (not set at creation)
   /// because a stealing worker can walk a device's records out of index
-  /// order; finalize() takes the min across states to rebuild the
-  /// sequential discovery order.
+  /// order; the fan-in of the ledger's first hour takes the min across
+  /// states to place the device in the sequential discovery order.
   struct LedgerSlot {
     DeviceTraffic traffic;
     std::uint64_t first_seen = kNeverSeen;
     FlowClass first_cls = FlowClass::TcpScan;
     std::uint64_t first_n = 0;
+    /// The device's index in Report::devices (its discovery rank),
+    /// assigned by the fan-in of the hour that created this ledger.
+    std::uint32_t position = kUnplaced;
   };
 
   // ---- per-device ledgers ----
@@ -189,22 +198,13 @@ struct AnalysisPipeline::ShardState {
   ByRealm<analysis::HourlySeries> scan_packet_series;
   ByRealm<analysis::HourlySeries> backscatter_series;
 
-  // ---- UDP per-port totals and distinct-device tracking ----
-  // Distinct (port, device) membership lives in the pair set; the
-  // per-port device counts are recomputed at finalize() from the union
-  // of the states' pair sets (a per-state insert-gated increment would
-  // double-count devices split across stealing partials).
+  // ---- UDP per-port packet totals ----
   std::array<std::uint64_t, 65536> udp_port_packets{};
-  std::array<std::uint32_t, 65536> udp_port_devices{};
-  util::FlatSet<std::uint64_t> udp_port_device_pairs;
   std::bitset<65536> udp_ports_seen;
 
   // ---- TCP scanning per named service (spec row index) ----
   std::vector<std::uint64_t> service_packets;
   std::vector<std::uint64_t> service_consumer_packets;
-  util::FlatSet<std::uint64_t> service_device_pairs;
-  std::vector<std::size_t> service_consumer_devices;
-  std::vector<std::size_t> service_cps_devices;
   std::vector<analysis::HourlySeries> service_series;
 
   // ---- per-victim hourly backscatter (devices with backscatter only) ----
@@ -219,15 +219,20 @@ struct AnalysisPipeline::ShardState {
   std::bitset<65536> hour_scan_ports[2];
   util::FlatSet<std::uint32_t> hour_scanners;
   util::FlatMap<std::uint32_t, UnknownHourTally> unknown_hour;
-  /// Devices whose ledger was created during the current observe call —
-  /// first-sighting candidates the coordinator dedups globally.
-  std::vector<std::uint32_t> hour_new_devices;
+  /// The hour's ((port << 32) | device) UDP and ((service << 32) |
+  /// device) scan pairs. Distinct-device counts are a cross-hour union
+  /// the coordinator keeps: a per-state insert-gated increment would
+  /// double-count a device split across stealing partials.
+  util::FlatSet<std::uint64_t> hour_udp_pairs;
+  util::FlatSet<std::uint64_t> hour_service_pairs;
+  /// Ledgers (indices into `ledgers`) created during the current observe
+  /// call — first-sighting candidates the coordinator dedups globally
+  /// and places in the discovery order.
+  std::vector<std::uint32_t> hour_new_slots;
 
   explicit ShardState(std::size_t service_count) {
     service_packets.resize(service_count, 0);
     service_consumer_packets.resize(service_count, 0);
-    service_consumer_devices.resize(service_count, 0);
-    service_cps_devices.resize(service_count, 0);
     service_series.resize(service_count);
   }
 
@@ -243,7 +248,9 @@ struct AnalysisPipeline::ShardState {
     }
     hour_scanners.clear();
     unknown_hour.clear();
-    hour_new_devices.clear();
+    hour_udp_pairs.clear();
+    hour_service_pairs.clear();
+    hour_new_slots.clear();
   }
 
   LedgerSlot& ledger_for(std::uint32_t device) {
@@ -255,6 +262,7 @@ struct AnalysisPipeline::ShardState {
     const auto index = static_cast<std::uint32_t>(ledgers.size());
     ledgers.push_back(std::move(slot));
     ledger_index.insert(device, index);
+    hour_new_slots.push_back(index);
     return ledgers[index];
   }
 
@@ -267,14 +275,14 @@ struct AnalysisPipeline::ShardState {
   template <typename View>
   void observe(const AnalysisPipeline& pipe, View view, int interval,
                const std::uint32_t* indices, std::size_t count,
-               std::uint32_t observe_seq, bool collect_discoveries);
+               std::uint32_t observe_seq);
 };
 
 template <typename View>
 void AnalysisPipeline::ShardState::observe(
     const AnalysisPipeline& pipe, const View view, int interval,
     const std::uint32_t* indices, std::size_t count,
-    std::uint32_t observe_seq, bool collect_discoveries) {
+    std::uint32_t observe_seq) {
   const int h = interval;
   const int day = util::AnalysisWindow::day_of_interval(h);
   const inventory::IoTDeviceDatabase& db = *pipe.db_;
@@ -317,9 +325,6 @@ void AnalysisPipeline::ShardState::observe(
     const FlowClass cls = tag_class(view.cls(record_idx));
 
     LedgerSlot& slot = ledger_for(device_id);
-    if (slot.first_seen == kNeverSeen && collect_discoveries) {
-      hour_new_devices.push_back(device_id);
-    }
     const std::uint64_t stream_pos =
         (static_cast<std::uint64_t>(observe_seq) << 32) | record_idx;
     if (stream_pos < slot.first_seen) {
@@ -353,7 +358,7 @@ void AnalysisPipeline::ShardState::observe(
         service_packets[s] += n;
         if (consumer) service_consumer_packets[s] += n;
         service_series[s].add(h, static_cast<double>(n));
-        service_device_pairs.insert(
+        hour_service_pairs.insert(
             (static_cast<std::uint64_t>(s) << 32) | device_id);
         break;
       }
@@ -388,7 +393,7 @@ void AnalysisPipeline::ShardState::observe(
         hour_udp_ports[realm].set(port);
         udp_port_packets[port] += n;
         udp_ports_seen.set(port);
-        udp_port_device_pairs.insert(
+        hour_udp_pairs.insert(
             (static_cast<std::uint64_t>(port) << 32) | device_id);
         break;
       }
@@ -419,7 +424,6 @@ struct AnalysisPipeline::HourSlot {
   std::vector<Morsel> morsels;
   int interval = 0;
   std::uint32_t seq = 0;                 ///< submission order (merge keys)
-  bool collect_discoveries = false;
   AfterHourHook after;
   /// Fence the NEXT hour's plan task depends on; released by this
   /// hour's fan-in `finally`.
@@ -475,6 +479,9 @@ AnalysisPipeline::AnalysisPipeline(const inventory::IoTDeviceDatabase& db,
   }
   other_service_ = workload::scan_service_index("Other");
   report_.scan_service_series.resize(services.size());
+  udp_port_devices_.resize(65536, 0);
+  service_consumer_devices_.resize(services.size(), 0);
+  service_cps_devices_.resize(services.size(), 0);
 
   const unsigned threads = util::ThreadPool::resolve(options_.threads);
   shards_.reserve(threads);
@@ -604,7 +611,6 @@ void AnalysisPipeline::submit_hour(net::FlowBatch batch,
   slot.tag_col = nullptr;
   slot.after = std::move(after);
   slot.seq = seq;
-  slot.collect_discoveries = static_cast<bool>(discovery_sink_);
   slot.fanin_submitted = false;
   slot.begin = std::chrono::steady_clock::now();
   obs_.inflight_hours.add(1);
@@ -728,8 +734,7 @@ void AnalysisPipeline::submit_hour(net::FlowBatch batch,
                 shards_[lane]->observe(
                     *this, view, s->interval,
                     s->partition[morsel.shard].data() + morsel.begin,
-                    morsel.end - morsel.begin, s->seq,
-                    s->collect_discoveries);
+                    morsel.end - morsel.begin, s->seq);
               },
               {}, options));
         }
@@ -744,7 +749,7 @@ void AnalysisPipeline::submit_hour(net::FlowBatch batch,
         s->fanin_gate = graph_->submit(
             [this, s](unsigned) {
               obs::ScopedTimer timer(obs_.fanin);
-              fan_in_hour(s->interval, s->collect_discoveries);
+              fan_in_hour(s->interval);
             },
             morsel_ids.data(), morsel_ids.size(), fanin_options);
         s->fanin_submitted = true;
@@ -778,7 +783,6 @@ void AnalysisPipeline::finish_hour(HourSlot& slot) {
 template <typename View>
 void AnalysisPipeline::observe_view(const View view, int interval) {
   const std::uint32_t seq = observe_seq_++;
-  const bool collect_discoveries = static_cast<bool>(discovery_sink_);
   const int h = interval;
 
   for (auto& shard : shards_) shard->begin_hour();
@@ -786,8 +790,7 @@ void AnalysisPipeline::observe_view(const View view, int interval) {
   // ---- fan-out ----
   if (shards_.size() == 1) {
     obs::ScopedTimer shard_timer(obs_.shard);
-    shards_[0]->observe(*this, view, h, nullptr, view.size(), seq,
-                        collect_discoveries);
+    shards_[0]->observe(*this, view, h, nullptr, view.size(), seq);
   } else {
     const auto n = static_cast<std::uint32_t>(view.size());
     {
@@ -811,8 +814,8 @@ void AnalysisPipeline::observe_view(const View view, int interval) {
       pool_->run_indexed(shards_.size(), [&](std::size_t s) {
         obs::ScopedTimer shard_timer(obs_.shard);
         const auto& bucket = partition_[s];
-        shards_[s]->observe(*this, view, h, bucket.data(), bucket.size(), seq,
-                            collect_discoveries);
+        shards_[s]->observe(*this, view, h, bucket.data(), bucket.size(),
+                            seq);
       });
     } else {
       morsels_.clear();
@@ -835,7 +838,7 @@ void AnalysisPipeline::observe_view(const View view, int interval) {
           const Morsel& morsel = morsels_[m];
           shards_[lane]->observe(
               *this, view, h, partition_[morsel.shard].data() + morsel.begin,
-              morsel.end - morsel.begin, seq, collect_discoveries);
+              morsel.end - morsel.begin, seq);
         });
       } else {
         util::ThreadPool::MorselStats stats;
@@ -847,7 +850,7 @@ void AnalysisPipeline::observe_view(const View view, int interval) {
               shards_[worker]->observe(
                   *this, view, h,
                   partition_[morsel.shard].data() + morsel.begin,
-                  morsel.end - morsel.begin, seq, collect_discoveries);
+                  morsel.end - morsel.begin, seq);
             },
             &stats);
         obs_.morsel_claimed.add(stats.claimed);
@@ -857,11 +860,10 @@ void AnalysisPipeline::observe_view(const View view, int interval) {
   }
 
   obs::ScopedTimer fanin_timer(obs_.fanin);
-  fan_in_hour(h, collect_discoveries);
+  fan_in_hour(h);
 }
 
-void AnalysisPipeline::fan_in_hour(const int h,
-                                   const bool collect_discoveries) {
+void AnalysisPipeline::fan_in_hour(const int h) {
   // ---- fan-in: per-hour distinct-destination counts ----
   for (int realm = 0; realm < 2; ++realm) {
     const bool consumer = realm == 0;
@@ -873,10 +875,13 @@ void AnalysisPipeline::fan_in_hour(const int h,
       scan_ports = shards_[0]->hour_scan_ports[realm].count();
     } else {
       // Destinations are not partitioned by the shard key — union.
-      // Reserve the union bound up front: for_each feeds keys in hash
-      // order, and a destination smaller than its sources probes
-      // quadratically on such a stream (see build_report's pair-set
-      // merge).
+      // Reserve the union bound up front: for_each visits a FlatSet in
+      // slot (= hash) order, and feeding a large hash-ordered stream into
+      // a smaller table with the same hash function packs every key into
+      // one low-index probe cluster — the union degenerates to quadratic
+      // probing (hours of CPU at 10^8-record scale). A destination at
+      // least as large as the source keeps the arrivals at their home
+      // slots.
       std::bitset<65536> udp_port_union, scan_port_union;
       std::size_t udp_bound = 0, scan_bound = 0;
       for (const auto& shard : shards_) {
@@ -967,26 +972,66 @@ void AnalysisPipeline::fan_in_hour(const int h,
     unknown_scratch_.for_each(promote);
   }
 
-  // ---- fan-in: first-sighting notifications, in record order ----
-  // Each state lists the devices whose ledger it created this call; the
-  // candidates are ordered by their min stream position (unique — one
-  // record, one device) and deduped through the global discovered set,
-  // so the sink sees exactly the sequential first sightings.
-  if (collect_discoveries) {
-    std::vector<std::pair<std::uint64_t, Discovery>> events;
-    for (const auto& shard : shards_) {
-      for (const std::uint32_t device : shard->hour_new_devices) {
-        const std::uint32_t* slot_index = shard->ledger_index.find(device);
-        const ShardState::LedgerSlot& slot = shard->ledgers[*slot_index];
-        events.emplace_back(slot.first_seen,
-                            Discovery{device, h, slot.first_cls, slot.first_n});
+  // ---- fan-in: distinct devices per UDP port and per scan service ----
+  // Each state's hour pairs fold into the cross-hour pair sets; a pair
+  // new to the study bumps its key's distinct-device count. A set union,
+  // so a device split across partials (or hours) counts once. Reserved
+  // to the union bound first, for the reason given at the dst unions.
+  std::size_t udp_pair_bound = udp_device_pairs_.size();
+  std::size_t service_pair_bound = service_device_pairs_.size();
+  for (const auto& shard : shards_) {
+    udp_pair_bound += shard->hour_udp_pairs.size();
+    service_pair_bound += shard->hour_service_pairs.size();
+  }
+  udp_device_pairs_.reserve(udp_pair_bound);
+  service_device_pairs_.reserve(service_pair_bound);
+  for (const auto& shard : shards_) {
+    shard->hour_udp_pairs.for_each([this](std::uint64_t pair) {
+      if (udp_device_pairs_.insert(pair)) {
+        ++udp_port_devices_[static_cast<std::size_t>(pair >> 32)];
       }
+    });
+    shard->hour_service_pairs.for_each([this](std::uint64_t pair) {
+      if (!service_device_pairs_.insert(pair)) return;
+      const auto s = static_cast<std::size_t>(pair >> 32);
+      const auto device = static_cast<std::uint32_t>(pair & 0xffffffffu);
+      if (db_->devices()[device].is_consumer()) {
+        ++service_consumer_devices_[s];
+      } else {
+        ++service_cps_devices_[s];
+      }
+    });
+  }
+
+  // ---- fan-in: discovery order and first-sighting notifications ----
+  // Each state lists the ledgers it created this call; the candidates
+  // are ordered by their min stream position (unique — one record, one
+  // device) and deduped through the global position map, so devices
+  // enter the discovery order — and the sink sees them — exactly in
+  // sequential first-sighting order. Hours fold in submission order, so
+  // appending hour by hour is the same as sorting the whole study.
+  sightings_.clear();
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    for (const std::uint32_t slot : shards_[s]->hour_new_slots) {
+      sightings_.push_back({shards_[s]->ledgers[slot].first_seen, s, slot});
     }
-    std::sort(events.begin(), events.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [pos, discovery] : events) {
-      (void)pos;
-      if (discovered_.insert(discovery.device)) discovery_sink_(discovery);
+  }
+  std::sort(sightings_.begin(), sightings_.end(),
+            [](const Sighting& a, const Sighting& b) {
+              return a.first_seen < b.first_seen;
+            });
+  for (const Sighting& sighting : sightings_) {
+    ShardState::LedgerSlot& slot =
+        shards_[sighting.shard]->ledgers[sighting.slot];
+    const std::uint32_t device = slot.traffic.device;
+    const auto next = static_cast<std::uint32_t>(device_position_.size());
+    if (device_position_.insert(device, next)) {
+      slot.position = next;
+      if (discovery_sink_) {
+        discovery_sink_(Discovery{device, h, slot.first_cls, slot.first_n});
+      }
+    } else {
+      slot.position = *device_position_.find(device);
     }
   }
 }
@@ -1028,159 +1073,65 @@ std::size_t AnalysisPipeline::evict_idle_unknown_profiles(int before_interval) {
 Report AnalysisPipeline::build_report() const {
   obs::ScopedTimer finalize_timer(obs_.finalize);
 
-  // Everything below reads the accumulated state and writes only into
-  // this copy (the incrementally-maintained series and tallies are
-  // already in report_), so repeated snapshots stay independent.
+  // Everything below reads the accumulated state in place and writes
+  // only into this copy (the fan-in-maintained series already sit in
+  // report_), so repeated snapshots stay independent. The cross-hour
+  // reductions that grow with the study — distinct devices per UDP port
+  // and per service, and the discovery order — were folded hour by hour
+  // at fan-in; what is left costs O(devices + ports), not O(study).
   Report report = report_;
 
-  // ---- deterministic reduction: merge worker state in fixed order ----
+  // ---- deterministic reduction: read worker state in fixed order ----
   // Every operation below is commutative-exact (integral sums, min/max,
-  // OR, set unions), so the result does not depend on which worker
-  // processed which morsel — only the fixed state order and the total
-  // sort keys decide the bytes.
-  auto merged = std::make_unique<ShardState>(workload::scan_services().size());
+  // OR), so the result does not depend on which worker processed which
+  // morsel — only the fixed state order and the total sort keys decide
+  // the bytes.
+  std::bitset<65536> udp_ports_seen;
   {
     obs::ScopedTimer merge_timer(obs_.merge);
 
     // Device ledgers: the same device can hold a ledger in several
-    // states under stealing — fold them per device (min first sighting,
-    // summed counters, OR'd day mask), then rebuild the sequential
-    // discovery order by sorting on the min stream position of each
-    // device's first sighting (one record names one source, so the keys
-    // are unique).
-    std::size_t slot_total = 0;
-    for (const auto& shard : shards_) slot_total += shard->ledgers.size();
-    std::vector<ShardState::LedgerSlot> ledgers;
-    ledgers.reserve(slot_total);
-    util::FlatMap<std::uint32_t, std::uint32_t> device_slot;
-    device_slot.reserve(slot_total);
+    // states under stealing; every ledger carries its device's discovery
+    // rank, so the partials fold (min/max intervals, summed counters,
+    // OR'd day mask) straight into their Report::devices slot.
+    report.devices.resize(device_position_.size());
     for (const auto& shard : shards_) {
       for (const auto& slot : shard->ledgers) {
-        if (const std::uint32_t* existing =
-                device_slot.find(slot.traffic.device)) {
-          ShardState::LedgerSlot& into = ledgers[*existing];
-          if (slot.first_seen < into.first_seen) {
-            into.first_seen = slot.first_seen;
-            into.first_cls = slot.first_cls;
-            into.first_n = slot.first_n;
-          }
-          merge_traffic(into.traffic, slot.traffic);
-        } else {
-          device_slot.insert(slot.traffic.device,
-                             static_cast<std::uint32_t>(ledgers.size()));
-          ledgers.push_back(slot);
-        }
+        // A ledger whose hour never reached fan-in (an observe that
+        // threw mid-hour) is not part of any folded state.
+        if (slot.position == ShardState::kUnplaced) continue;
+        DeviceTraffic& into = report.devices[slot.position];
+        into.device = slot.traffic.device;
+        merge_traffic(into, slot.traffic);
       }
     }
-    std::vector<std::uint32_t> order(ledgers.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(),
-              [&ledgers](std::uint32_t a, std::uint32_t b) {
-                return ledgers[a].first_seen < ledgers[b].first_seen;
-              });
-    report.devices.reserve(order.size());
-    report.device_index.reserve(order.size());
-    for (const std::uint32_t i : order) {
-      const DeviceTraffic& traffic = ledgers[i].traffic;
-      const auto index = static_cast<std::uint32_t>(report.devices.size());
-      report.devices.push_back(traffic);
-      report.device_index.emplace(traffic.device, index);
-      if (db_->devices()[traffic.device].is_consumer()) {
-        ++report.discovered_consumer;
-      } else {
-        ++report.discovered_cps;
-      }
-    }
+    report.device_index = device_position_;
 
-    // Additive tallies and series fold into one merged accumulator;
-    // distinct-device counts are recomputed from the union of the
-    // states' (key, device) pair sets.
-    //
-    // The pair sets must be pre-sized to the union's upper bound:
-    // for_each visits a FlatSet in slot (= hash) order, and feeding a
-    // large hash-ordered stream into a smaller table with the same hash
-    // function packs every key into one low-index probe cluster —
-    // the union degenerates to quadratic probing (hours of CPU at
-    // 10^8-record scale). A destination at least as large as the source
-    // keeps the monotone arrivals at their home slots.
-    std::size_t udp_pair_bound = 0, service_pair_bound = 0;
     for (const auto& shard : shards_) {
-      udp_pair_bound += shard->udp_port_device_pairs.size();
-      service_pair_bound += shard->service_device_pairs.size();
-    }
-    merged->udp_port_device_pairs.reserve(udp_pair_bound);
-    merged->service_device_pairs.reserve(service_pair_bound);
-    for (const auto& shard : shards_) {
-      merged->total_packets += shard->total_packets;
-      merged->unattributed_packets += shard->unattributed_packets;
+      report.total_packets += shard->total_packets;
+      report.unattributed_packets += shard->unattributed_packets;
       for (const bool consumer : {true, false}) {
-        merged->tcp_packets.of(consumer) += shard->tcp_packets.of(consumer);
-        merged->udp_packets.of(consumer) += shard->udp_packets.of(consumer);
-        merged->icmp_packets.of(consumer) += shard->icmp_packets.of(consumer);
-        add_series(merged->udp_packet_series.of(consumer),
+        report.tcp_packets.of(consumer) += shard->tcp_packets.of(consumer);
+        report.udp_packets.of(consumer) += shard->udp_packets.of(consumer);
+        report.icmp_packets.of(consumer) += shard->icmp_packets.of(consumer);
+        add_series(report.udp_series.of(consumer).packets,
                    shard->udp_packet_series.of(consumer));
-        add_series(merged->scan_packet_series.of(consumer),
+        add_series(report.scan_series.of(consumer).packets,
                    shard->scan_packet_series.of(consumer));
-        add_series(merged->backscatter_series.of(consumer),
+        add_series(report.backscatter_series.of(consumer),
                    shard->backscatter_series.of(consumer));
       }
-      for (std::uint32_t port = 0; port < 65536; ++port) {
-        merged->udp_port_packets[port] += shard->udp_port_packets[port];
-      }
-      merged->udp_ports_seen |= shard->udp_ports_seen;
-      shard->udp_port_device_pairs.for_each([&](std::uint64_t pair) {
-        if (merged->udp_port_device_pairs.insert(pair)) {
-          ++merged->udp_port_devices[static_cast<std::size_t>(pair >> 32)];
-        }
-      });
-      for (std::size_t s = 0; s < merged->service_packets.size(); ++s) {
-        merged->service_packets[s] += shard->service_packets[s];
-        merged->service_consumer_packets[s] +=
-            shard->service_consumer_packets[s];
-        add_series(merged->service_series[s], shard->service_series[s]);
-      }
-      shard->service_device_pairs.for_each([&](std::uint64_t pair) {
-        if (merged->service_device_pairs.insert(pair)) {
-          const auto s = static_cast<std::size_t>(pair >> 32);
-          const auto device = static_cast<std::uint32_t>(pair & 0xffffffffu);
-          if (db_->devices()[device].is_consumer()) {
-            ++merged->service_consumer_devices[s];
-          } else {
-            ++merged->service_cps_devices[s];
-          }
-        }
-      });
-      // Victim series add element-wise: per-hour sums are order-exact,
-      // and under stealing one victim can appear in several states.
-      for (const auto& [device, series] : shard->victim_series) {
-        auto [it, inserted] = merged->victim_series.try_emplace(device);
-        if (inserted) it->second.assign(kHours, 0.0);
-        for (int hh = 0; hh < kHours; ++hh) {
-          it->second[static_cast<std::size_t>(hh)] +=
-              series[static_cast<std::size_t>(hh)];
-        }
-      }
+      udp_ports_seen |= shard->udp_ports_seen;
     }
   }
-  report.total_packets = merged->total_packets;
-  report.unattributed_packets = merged->unattributed_packets;
-  for (const bool consumer : {true, false}) {
-    report.tcp_packets.of(consumer) = merged->tcp_packets.of(consumer);
-    report.udp_packets.of(consumer) = merged->udp_packets.of(consumer);
-    report.icmp_packets.of(consumer) = merged->icmp_packets.of(consumer);
-    report.udp_series.of(consumer).packets =
-        merged->udp_packet_series.of(consumer);
-    report.scan_series.of(consumer).packets =
-        merged->scan_packet_series.of(consumer);
-    report.backscatter_series.of(consumer) =
-        merged->backscatter_series.of(consumer);
-  }
 
-  // ---- discovery curve (Fig 2) and daily activity ----
+  // ---- per-device roll-ups: discovery curve (Fig 2), daily activity,
+  // UDP / backscatter / TCP-scan / ICMP-scan device counts ----
   for (const auto& ledger : report.devices) {
     const bool consumer = db_->devices()[ledger.device].is_consumer();
-    const int first_day =
-        util::AnalysisWindow::day_of_interval(std::max(0, ledger.first_interval));
+    ++(consumer ? report.discovered_consumer : report.discovered_cps);
+    const int first_day = util::AnalysisWindow::day_of_interval(
+        std::max(0, ledger.first_interval));
     for (int d = first_day; d < 6; ++d) {
       (consumer ? report.cumulative_by_day_consumer
                 : report.cumulative_by_day_cps)[static_cast<std::size_t>(d)]++;
@@ -1191,53 +1142,69 @@ Report AnalysisPipeline::build_report() const {
                   : report.active_by_day_cps)[static_cast<std::size_t>(d)]++;
       }
     }
+    if (ledger.udp > 0) {
+      ++report.udp_device_count;
+      if (consumer) ++report.udp_consumer_devices;
+    }
+    if (const std::uint64_t bs = ledger.backscatter(); bs > 0) {
+      ++report.dos_victims;
+      if (!consumer) ++report.dos_victims_cps;
+      report.backscatter_packets.of(consumer) += bs;
+    }
+    if (ledger.tcp_scan > 0) {
+      ++report.scanner_devices;
+      if (consumer) ++report.scanner_consumer_devices;
+    }
+    report.tcp_scan_total += ledger.tcp_scan;
+    if (ledger.icmp_scan > 0) {
+      ++report.icmp_scanner_devices;
+      report.icmp_scan_total += ledger.icmp_scan;
+      if (consumer) {
+        ++report.icmp_scanner_consumer_devices;
+        report.icmp_scan_consumer_packets += ledger.icmp_scan;
+      }
+    }
   }
 
   // ---- UDP roll-ups ----
   report.udp_total_packets =
       report.udp_packets.consumer + report.udp_packets.cps;
-  for (const auto& ledger : report.devices) {
-    if (ledger.udp > 0) {
-      ++report.udp_device_count;
-      if (db_->devices()[ledger.device].is_consumer()) {
-        ++report.udp_consumer_devices;
-      }
-    }
-  }
-  report.udp_distinct_ports = merged->udp_ports_seen.count();
+  report.udp_distinct_ports = udp_ports_seen.count();
   {
-    // Top UDP ports by packets.
-    std::vector<UdpPortRow> rows;
+    // Top UDP ports by (packets desc, port asc), a total order: a bounded
+    // max-heap keeps the best rows seen so far with the weakest on top.
+    constexpr std::size_t kTopPorts = 32;
+    const auto ranks_before = [](const UdpPortRow& a, const UdpPortRow& b) {
+      if (a.packets != b.packets) return a.packets > b.packets;
+      return a.port < b.port;
+    };
+    std::vector<UdpPortRow> top;
+    top.reserve(kTopPorts);
     for (std::uint32_t port = 0; port < 65536; ++port) {
-      if (merged->udp_port_packets[port] > 0) {
-        rows.push_back({static_cast<net::Port>(port),
-                        merged->udp_port_packets[port],
-                        merged->udp_port_devices[port]});
+      std::uint64_t packets = 0;
+      for (const auto& shard : shards_) {
+        packets += shard->udp_port_packets[port];
+      }
+      if (packets == 0) continue;
+      const UdpPortRow row{static_cast<net::Port>(port), packets, 0};
+      if (top.size() < kTopPorts) {
+        top.push_back(row);
+        std::push_heap(top.begin(), top.end(), ranks_before);
+      } else if (ranks_before(row, top.front())) {
+        std::pop_heap(top.begin(), top.end(), ranks_before);
+        top.back() = row;
+        std::push_heap(top.begin(), top.end(), ranks_before);
       }
     }
-    std::sort(rows.begin(), rows.end(),
-              [](const UdpPortRow& a, const UdpPortRow& b) {
-                if (a.packets != b.packets) return a.packets > b.packets;
-                return a.port < b.port;
-              });
-    if (rows.size() > 32) rows.resize(32);
-    report.udp_top_ports = std::move(rows);
+    std::sort_heap(top.begin(), top.end(), ranks_before);
+    for (UdpPortRow& row : top) row.devices = udp_port_devices_[row.port];
+    report.udp_top_ports = std::move(top);
   }
   report.udp_consumer_port_ip_correlation = analysis::pearson(
       report.udp_series.consumer.dst_ports.values(),
       report.udp_series.consumer.dst_ips.values());
 
   // ---- backscatter / DoS ----
-  report.backscatter_packets.consumer = 0;
-  report.backscatter_packets.cps = 0;
-  for (const auto& ledger : report.devices) {
-    const std::uint64_t bs = ledger.backscatter();
-    if (bs == 0) continue;
-    ++report.dos_victims;
-    const bool consumer = db_->devices()[ledger.device].is_consumer();
-    if (!consumer) ++report.dos_victims_cps;
-    report.backscatter_packets.of(consumer) += bs;
-  }
   report.backscatter_total =
       report.backscatter_packets.consumer + report.backscatter_packets.cps;
   report.backscatter_mwu =
@@ -1251,52 +1218,50 @@ Report AnalysisPipeline::build_report() const {
       total_bs.add(h, report.backscatter_series.consumer.at(h) +
                           report.backscatter_series.cps.at(h));
     }
+    util::FlatMap<std::uint32_t, double> victim_at_hour;
     for (const int h : total_bs.spikes(options_.spike_multiple)) {
       DosSpike spike;
       spike.interval = h;
       spike.backscatter_packets = total_bs.at(h);
       double best = 0.0;
-      for (const auto& [device, series] : merged->victim_series) {
-        const double v = series[static_cast<std::size_t>(h)];
+      const auto consider = [&](std::uint32_t device, double v) {
         // Strict tie-break on the device id: the winner must not depend
         // on hash-map iteration order (it differs per shard count).
         if (v > best || (v == best && v > 0.0 && device < spike.top_victim)) {
           best = v;
           spike.top_victim = device;
         }
+      };
+      // One victim can sit in several partials under stealing: sum its
+      // packets at this hour first (integral, so order-exact).
+      const auto hour = static_cast<std::size_t>(h);
+      victim_at_hour.clear();
+      for (const auto& shard : shards_) {
+        for (const auto& [device, series] : shard->victim_series) {
+          if (series[hour] != 0.0) victim_at_hour[device] += series[hour];
+        }
       }
+      victim_at_hour.for_each(consider);
       spike.top_victim_share =
           spike.backscatter_packets > 0 ? best / spike.backscatter_packets : 0;
       report.dos_spikes.push_back(spike);
     }
-    std::sort(report.dos_spikes.begin(), report.dos_spikes.end(),
-              [](const DosSpike& a, const DosSpike& b) {
-                return a.interval < b.interval;
-              });
   }
 
   // ---- TCP scanning roll-ups ----
-  report.tcp_scan_total = 0;
-  for (const auto& ledger : report.devices) {
-    if (ledger.tcp_scan > 0) {
-      ++report.scanner_devices;
-      if (db_->devices()[ledger.device].is_consumer()) {
-        ++report.scanner_consumer_devices;
-      }
-    }
-    report.tcp_scan_total += ledger.tcp_scan;
-  }
   {
     const auto& services = workload::scan_services();
     for (std::size_t s = 0; s < services.size(); ++s) {
       ScanServiceRow row;
       row.name = services[s].name;
-      row.packets = merged->service_packets[s];
-      row.consumer_packets = merged->service_consumer_packets[s];
-      row.consumer_devices = merged->service_consumer_devices[s];
-      row.cps_devices = merged->service_cps_devices[s];
+      for (const auto& shard : shards_) {
+        row.packets += shard->service_packets[s];
+        row.consumer_packets += shard->service_consumer_packets[s];
+        add_series(report.scan_service_series[s], shard->service_series[s]);
+      }
+      row.consumer_devices = service_consumer_devices_[s];
+      row.cps_devices = service_cps_devices_[s];
       report.scan_services.push_back(std::move(row));
-      report.scan_service_series[s] = merged->service_series[s];
     }
   }
   {
@@ -1347,18 +1312,6 @@ Report AnalysisPipeline::build_report() const {
               if (a.packets != b.packets) return a.packets > b.packets;
               return a.ip.value() < b.ip.value();
             });
-
-  // ---- ICMP scanning ----
-  for (const auto& ledger : report.devices) {
-    if (ledger.icmp_scan > 0) {
-      ++report.icmp_scanner_devices;
-      report.icmp_scan_total += ledger.icmp_scan;
-      if (db_->devices()[ledger.device].is_consumer()) {
-        ++report.icmp_scanner_consumer_devices;
-        report.icmp_scan_consumer_packets += ledger.icmp_scan;
-      }
-    }
-  }
 
   return report;
 }

@@ -189,7 +189,8 @@ class AnalysisPipeline {
 
   /// Point-in-time report over everything observed so far, without
   /// consuming the pipeline: the same fixed-order commutative-exact
-  /// reduction finalize() runs, but over copies — observe() may continue
+  /// reduction finalize() runs, reading the accumulated state in place
+  /// and writing only a fresh Report — observe() may continue
   /// afterwards. A snapshot taken after the last observe() is
   /// byte-identical to finalize()'s report; this is what lets the
   /// streaming study publish periodic reports mid-run and still end on
@@ -248,9 +249,11 @@ class AnalysisPipeline {
   /// Stable source-IP -> shard assignment (multiplicative hash).
   std::size_t shard_of(std::uint32_t src) const noexcept;
 
-  /// The full cross-hour reduction: copies the incrementally-maintained
-  /// report, merges shard partials in fixed shard order into the copy,
-  /// and completes every derived statistic. Const — shared by finalize()
+  /// The report reduction: copies the incrementally-maintained report,
+  /// reads shard partials in place in fixed shard order into the copy,
+  /// and completes every derived statistic. Cross-hour distinct counts
+  /// and the discovery order are already folded at fan-in, so the cost
+  /// is O(devices + ports), not O(study). Const — shared by finalize()
   /// (which memoizes the result) and snapshot() (which does not).
   Report build_report() const;
 
@@ -261,13 +264,14 @@ class AnalysisPipeline {
   void observe_view(View view, int interval);
 
   /// The per-hour cross-shard reduction (distinct-destination unions,
-  /// scanner-device union, unknown-source promotion, first-sighting
-  /// notifications). Runs after every shard/morsel task of the hour has
-  /// completed — inline at the tail of observe_view, or as the hour's
-  /// fan-in task under the Graph scheduler; fan-ins of different hours
-  /// are serialized by the fence chain, so the coordinator-owned state
-  /// it touches needs no locking.
-  void fan_in_hour(int interval, bool collect_discoveries);
+  /// scanner-device union, unknown-source promotion, the cross-hour
+  /// (port/service, device) pair fold, discovery placement and
+  /// first-sighting notifications). Runs after every shard/morsel task
+  /// of the hour has completed — inline at the tail of observe_view, or
+  /// as the hour's fan-in task under the Graph scheduler; fan-ins of
+  /// different hours are serialized by the fence chain, so the
+  /// coordinator-owned state it touches needs no locking.
+  void fan_in_hour(int interval);
 
   /// Builds and enqueues one hour's task subgraph (Graph scheduler
   /// only). Blocks until an in-flight-hours credit is free.
@@ -334,10 +338,27 @@ class AnalysisPipeline {
   std::vector<Morsel> morsels_;                        ///< stealing work list, reused
   util::FlatSet<std::uint32_t> union_scratch_;         ///< fan-in dst-IP union
   analysis::HourlySeries scanners_per_hour_;  ///< coordinator-owned
-  /// Devices already announced to the discovery sink. Under stealing a
-  /// device's ledger can be created in several worker partials (even in
-  /// different hours), so first-sighting dedup must be global.
-  util::FlatSet<std::uint32_t> discovered_;
+  /// The discovery order: device -> its index in Report::devices (the
+  /// rank of its first sighting in the stream). Append-only, extended at
+  /// fan-in. Under stealing a device's ledger can be created in several
+  /// worker partials (even in different hours), so first-sighting dedup
+  /// must be global; the report's flat device index is a copy of it.
+  util::FlatMap<std::uint32_t, std::uint32_t> device_position_;
+  /// One ledger created this hour, keyed by its first stream position.
+  struct Sighting {
+    std::uint64_t first_seen = 0;
+    std::uint32_t shard = 0;
+    std::uint32_t slot = 0;
+  };
+  std::vector<Sighting> sightings_;  ///< fan-in scratch, reused
+  /// Cross-hour ((port << 32) | device) UDP and ((service << 32) |
+  /// device) scan pairs, folded from the shards' hour pairs at fan-in,
+  /// and the distinct-device counts they gate.
+  util::FlatSet<std::uint64_t> udp_device_pairs_;
+  util::FlatSet<std::uint64_t> service_device_pairs_;
+  std::vector<std::uint32_t> udp_port_devices_;  ///< 65,536 ports
+  std::vector<std::size_t> service_consumer_devices_;
+  std::vector<std::size_t> service_cps_devices_;
   /// Cross-hour unknown-source profiles, coordinator-owned: promotion
   /// happens at fan-in on the per-hour totals, never per worker.
   std::unordered_map<std::uint32_t, UnknownSourceProfile> unknown_profiles_;

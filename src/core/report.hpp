@@ -7,13 +7,13 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/stats.hpp"
 #include "analysis/timeseries.hpp"
 #include "inventory/database.hpp"
 #include "net/protocol.hpp"
+#include "util/flat_hash.hpp"
 
 namespace iotscope::core {
 
@@ -66,6 +66,8 @@ struct DeviceTraffic {
     }
     return best;
   }
+
+  bool operator==(const DeviceTraffic&) const = default;
 };
 
 /// Behavioural profile of a non-inventory ("unknown") source that emitted
@@ -108,6 +110,8 @@ struct ScanServiceRow {
   std::uint64_t consumer_packets = 0;
   std::size_t consumer_devices = 0;
   std::size_t cps_devices = 0;
+
+  bool operator==(const ScanServiceRow&) const = default;
 };
 
 /// One row of the UDP port table (Table IV).
@@ -115,6 +119,8 @@ struct UdpPortRow {
   net::Port port = 0;
   std::uint64_t packets = 0;
   std::size_t devices = 0;
+
+  bool operator==(const UdpPortRow&) const = default;
 };
 
 /// An inferred DoS attack interval (Section IV-B1's narrative).
@@ -131,7 +137,8 @@ struct Report {
   std::uint64_t total_packets = 0;       ///< packets attributed to IoT devices
   std::uint64_t unattributed_packets = 0;  ///< darknet packets from unknown IPs
   std::vector<DeviceTraffic> devices;    ///< one entry per discovered device
-  std::unordered_map<std::uint32_t, std::uint32_t> device_index;
+  /// Inventory index -> position in `devices` (use traffic_for()).
+  util::FlatMap<std::uint32_t, std::uint32_t> device_index;
   std::size_t discovered_consumer = 0;
   std::size_t discovered_cps = 0;
   /// Cumulative devices discovered by end of each day, per realm (Fig 2).
@@ -190,8 +197,8 @@ struct Report {
 
   // ---- helpers ----
   const DeviceTraffic* traffic_for(std::uint32_t device) const noexcept {
-    const auto it = device_index.find(device);
-    return it == device_index.end() ? nullptr : &devices[it->second];
+    const std::uint32_t* index = device_index.find(device);
+    return index ? &devices[*index] : nullptr;
   }
 
   std::size_t discovered_total() const noexcept {

@@ -222,15 +222,21 @@ std::shared_ptr<const Report> StreamingStudy::publish_snapshot() {
     published = std::make_shared<const PublishedReport>(
         PublishedReport{stats_.snapshots_published + 1, pipeline_.snapshot()});
   }
-  // Atomic publication: server workers loading latest_ concurrently see
-  // either the previous snapshot or this one, never a torn pointer.
-  latest_.store(published, std::memory_order_release);
+  // Server workers reading latest_ concurrently see either the previous
+  // snapshot or this one, never a torn pointer.
+  publish(published);
   ++stats_.snapshots_published;
   return {published, &published->report};
 }
 
+void StreamingStudy::publish(
+    std::shared_ptr<const PublishedReport> published) {
+  std::lock_guard<std::mutex> lock(latest_mutex_);
+  latest_.swap(published);
+}
+
 std::shared_ptr<const Report> StreamingStudy::latest_snapshot() const {
-  auto published = latest_.load(std::memory_order_acquire);
+  auto published = latest_published();
   if (!published) return nullptr;
   // Aliasing constructor: the Report pointer shares the
   // PublishedReport's control block, so the epoch wrapper stays alive
@@ -240,19 +246,19 @@ std::shared_ptr<const Report> StreamingStudy::latest_snapshot() const {
 
 std::shared_ptr<const PublishedReport> StreamingStudy::latest_published()
     const {
-  return latest_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(latest_mutex_);
+  return latest_;
 }
 
 std::uint64_t StreamingStudy::epoch() const noexcept {
-  const auto published = latest_.load(std::memory_order_acquire);
+  const auto published = latest_published();
   return published ? published->epoch : 0;
 }
 
 Report StreamingStudy::finalize() {
   Report report = pipeline_.finalize();
-  latest_.store(std::make_shared<const PublishedReport>(PublishedReport{
-                    stats_.snapshots_published + 1, report}),
-                std::memory_order_release);
+  publish(std::make_shared<const PublishedReport>(
+      PublishedReport{stats_.snapshots_published + 1, report}));
   ++stats_.snapshots_published;
   return report;
 }

@@ -23,11 +23,11 @@
 //  * Periodic immutable snapshots. Every `snapshot_every` admitted
 //    hours the engine builds a full Report via the pipeline's const
 //    snapshot() reduction and publishes it — stamped with a
-//    monotonically increasing epoch — through an atomic shared_ptr:
-//    readers on other threads (the serve/ query workers) load the
-//    pointer lock-free and then read an immutable object at leisure
-//    while ingestion continues. The final snapshot equals finalize()'s
-//    batch report byte for byte.
+//    monotonically increasing epoch — through one shared_ptr slot:
+//    readers on other threads (the serve/ query workers) copy the
+//    pointer under a mutex held only for that copy, then read an
+//    immutable object at leisure while ingestion continues. The final
+//    snapshot equals finalize()'s batch report byte for byte.
 //
 //  * Corrupt-hour quarantine. A published hour whose bytes fail to
 //    decode (torn .iftc block, truncated records, hostile header — any
@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/pipeline.hpp"
@@ -131,21 +132,22 @@ class StreamingStudy {
   std::shared_ptr<const Report> publish_snapshot();
 
   /// Most recently published snapshot (null before the first one).
-  /// Lock-free and safe from any thread — publication is an atomic
-  /// shared_ptr store, so a server worker hammering this during
-  /// follow() never blocks ingest (and never races it: the returned
-  /// report is immutable). The pointer aliases the PublishedReport
-  /// that owns it, so it stays valid for as long as the caller holds it.
+  /// Safe from any thread — publication swaps one shared_ptr under a
+  /// mutex held only for the swap or copy, so a server worker hammering
+  /// this during follow() never waits on a report build (and never races
+  /// it: the returned report is immutable). The pointer aliases the
+  /// PublishedReport that owns it, so it stays valid for as long as the
+  /// caller holds it.
   std::shared_ptr<const Report> latest_snapshot() const;
 
   /// The same snapshot together with its epoch stamp, as one consistent
-  /// load (epoch and report travel in a single atomic pointer — a reader
-  /// can never observe a new report under an old epoch). Null before the
-  /// first publication. Lock-free, any thread.
+  /// load (epoch and report travel in a single pointer — a reader can
+  /// never observe a new report under an old epoch). Null before the
+  /// first publication. Any thread.
   std::shared_ptr<const PublishedReport> latest_published() const;
 
   /// Epoch of the latest published snapshot (0 before the first one).
-  /// Lock-free, any thread.
+  /// Any thread.
   std::uint64_t epoch() const noexcept;
 
   /// Finalizes the pipeline and publishes the result as the latest
@@ -197,11 +199,19 @@ class StreamingStudy {
   bool warned_late_ = false;
   bool warned_corrupt_ = false;
 
-  /// Publication slot. A plain shared_ptr store here raced the server's
-  /// worker-thread readers (shared_ptr copy vs store is a data race on
-  /// the control block pointer); the atomic specialization makes
-  /// publish-and-read lock-free on both sides.
-  std::atomic<std::shared_ptr<const PublishedReport>> latest_;
+  /// Swaps `published` into the publication slot; the replaced
+  /// snapshot's reference is dropped after the mutex is released.
+  void publish(std::shared_ptr<const PublishedReport> published);
+
+  /// Publication slot. An unguarded shared_ptr store here raced the
+  /// server's worker-thread readers (shared_ptr copy vs store is a data
+  /// race on the control block pointer). std::atomic<std::shared_ptr>
+  /// is no cure with libstdc++ 12: its load() releases the internal
+  /// lock with a relaxed store, so a reader's pointer read is not
+  /// ordered before the next publication's write (ThreadSanitizer
+  /// reports it). The mutex is held only for a pointer copy or swap.
+  mutable std::mutex latest_mutex_;
+  std::shared_ptr<const PublishedReport> latest_;
 
   // Observability handles, resolved once (registry lookups are mutexed).
   obs::Gauge& watermark_gauge_;  ///< stream.watermark (display only;

@@ -129,14 +129,16 @@ void ReportServer::stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   stopping_.store(true, std::memory_order_release);
   // Unblock accept(2): shutdown() forces a pending accept to return on
-  // Linux; close() frees the port.
+  // Linux. close() frees the port, but only after the accept thread is
+  // joined: that thread reads listen_fd_ for every accept, so resetting
+  // it any earlier is a data race.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (connections_) connections_->close();
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (connections_) connections_->close();
-  if (accept_thread_.joinable()) accept_thread_.join();
   if (pool_runner_.joinable()) pool_runner_.join();
   // Drain sockets that were queued but never claimed by a worker.
   if (connections_) {

@@ -3,9 +3,9 @@
 // immutable report snapshots. One blocking accept loop feeds accepted
 // connections through a BoundedQueue to a util::ThreadPool worker pool;
 // every request is answered against whatever snapshot the provider
-// returns at that instant — an atomic shared_ptr load on the streaming
-// study side — so queries never block ingestion and ingestion never
-// blocks queries.
+// returns at that instant — one shared_ptr copy on the streaming study
+// side — so queries never wait on ingestion and ingestion never waits
+// on queries.
 //
 //   GET /healthz                        liveness + current epoch
 //   GET /metrics                        obs registry snapshot as JSON

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
+
 namespace iotscope::core {
 namespace {
 
@@ -20,10 +23,17 @@ net::FlowTuple icmp_flow(net::IcmpType type) {
   return t;
 }
 
+// ctest lists each parameterized case under its parameter as gtest prints
+// it. The default printer dumps a struct's raw bytes, padding included,
+// which made these names change from run to run; each case instead
+// prints the fixed name it is listed under (an earlier byte dump).
 struct TcpCase {
   std::uint8_t flags;
   FlowClass expected;
+  const char* name;
 };
+
+void PrintTo(const TcpCase& c, std::ostream* os) { *os << c.name; }
 
 class TcpTaxonomyTest : public ::testing::TestWithParam<TcpCase> {};
 
@@ -36,18 +46,30 @@ TEST_P(TcpTaxonomyTest, ClassifiesFlagCombination) {
 INSTANTIATE_TEST_SUITE_P(
     FlagCombos, TcpTaxonomyTest,
     ::testing::Values(
-        TcpCase{net::kSyn, FlowClass::TcpScan},
-        TcpCase{net::kSyn | net::kPsh, FlowClass::TcpScan},
-        TcpCase{net::kSyn | net::kUrg, FlowClass::TcpScan},
-        TcpCase{net::kSyn | net::kAck, FlowClass::TcpBackscatter},
-        TcpCase{net::kRst, FlowClass::TcpBackscatter},
-        TcpCase{net::kRst | net::kAck, FlowClass::TcpBackscatter},
-        TcpCase{net::kSyn | net::kRst, FlowClass::TcpBackscatter},
-        TcpCase{net::kAck, FlowClass::TcpOther},
-        TcpCase{net::kAck | net::kPsh, FlowClass::TcpOther},
-        TcpCase{net::kFin | net::kAck, FlowClass::TcpOther},
-        TcpCase{net::kSyn | net::kFin, FlowClass::TcpOther},  // anomalous
-        TcpCase{0, FlowClass::TcpOther}));
+        TcpCase{net::kSyn, FlowClass::TcpScan,
+                "8-byte object <02-00 01-1B 00-00 00-00>"},
+        TcpCase{net::kSyn | net::kPsh, FlowClass::TcpScan,
+                "8-byte object <0A-00 04-00 00-00 00-00>"},
+        TcpCase{net::kSyn | net::kUrg, FlowClass::TcpScan,
+                "8-byte object <22-FF 48-00 00-00 00-00>"},
+        TcpCase{net::kSyn | net::kAck, FlowClass::TcpBackscatter,
+                "8-byte object <12-FF 70-00 01-00 00-00>"},
+        TcpCase{net::kRst, FlowClass::TcpBackscatter,
+                "8-byte object <04-00 00-00 01-00 00-00>"},
+        TcpCase{net::kRst | net::kAck, FlowClass::TcpBackscatter,
+                "8-byte object <14-00 00-00 01-00 00-00>"},
+        TcpCase{net::kSyn | net::kRst, FlowClass::TcpBackscatter,
+                "8-byte object <06-00 00-00 01-00 00-00>"},
+        TcpCase{net::kAck, FlowClass::TcpOther,
+                "8-byte object <10-00 00-00 05-00 00-00>"},
+        TcpCase{net::kAck | net::kPsh, FlowClass::TcpOther,
+                "8-byte object <18-00 01-1B 05-00 00-00>"},
+        TcpCase{net::kFin | net::kAck, FlowClass::TcpOther,
+                "8-byte object <11-00 04-00 05-00 00-00>"},
+        TcpCase{net::kSyn | net::kFin, FlowClass::TcpOther,
+                "8-byte object <03-DA 48-00 05-00 00-00>"},  // anomalous
+        TcpCase{0, FlowClass::TcpOther,
+                "8-byte object <00-DA 55-00 05-00 00-00>"}));
 
 TEST(Taxonomy, UdpAlwaysUdp) {
   net::FlowTuple t;
@@ -59,7 +81,10 @@ TEST(Taxonomy, UdpAlwaysUdp) {
 struct IcmpCase {
   net::IcmpType type;
   FlowClass expected;
+  const char* name;
 };
+
+void PrintTo(const IcmpCase& c, std::ostream* os) { *os << c.name; }
 
 class IcmpTaxonomyTest : public ::testing::TestWithParam<IcmpCase> {};
 
@@ -72,20 +97,33 @@ TEST_P(IcmpTaxonomyTest, ClassifiesIcmpType) {
 INSTANTIATE_TEST_SUITE_P(
     Types, IcmpTaxonomyTest,
     ::testing::Values(
-        IcmpCase{net::IcmpType::EchoRequest, FlowClass::IcmpScan},
-        IcmpCase{net::IcmpType::EchoReply, FlowClass::IcmpBackscatter},
+        IcmpCase{net::IcmpType::EchoRequest, FlowClass::IcmpScan,
+                 "8-byte object <08-25 15-62 02-00 00-00>"},
+        IcmpCase{net::IcmpType::EchoReply, FlowClass::IcmpBackscatter,
+                 "8-byte object <00-19 EF-6A 03-00 00-00>"},
         IcmpCase{net::IcmpType::DestinationUnreachable,
-                 FlowClass::IcmpBackscatter},
-        IcmpCase{net::IcmpType::SourceQuench, FlowClass::IcmpBackscatter},
-        IcmpCase{net::IcmpType::Redirect, FlowClass::IcmpBackscatter},
-        IcmpCase{net::IcmpType::TimeExceeded, FlowClass::IcmpBackscatter},
-        IcmpCase{net::IcmpType::ParameterProblem, FlowClass::IcmpBackscatter},
-        IcmpCase{net::IcmpType::TimestampReply, FlowClass::IcmpBackscatter},
-        IcmpCase{net::IcmpType::InformationReply, FlowClass::IcmpBackscatter},
-        IcmpCase{net::IcmpType::AddressMaskReply, FlowClass::IcmpBackscatter},
-        IcmpCase{net::IcmpType::TimestampRequest, FlowClass::IcmpOther},
-        IcmpCase{net::IcmpType::InformationRequest, FlowClass::IcmpOther},
-        IcmpCase{net::IcmpType::AddressMaskRequest, FlowClass::IcmpOther}));
+                 FlowClass::IcmpBackscatter,
+                 "8-byte object <03-1D 15-62 03-00 00-00>"},
+        IcmpCase{net::IcmpType::SourceQuench, FlowClass::IcmpBackscatter,
+                 "8-byte object <04-19 EF-6A 03-00 00-00>"},
+        IcmpCase{net::IcmpType::Redirect, FlowClass::IcmpBackscatter,
+                 "8-byte object <05-00 00-00 03-00 00-00>"},
+        IcmpCase{net::IcmpType::TimeExceeded, FlowClass::IcmpBackscatter,
+                 "8-byte object <0B-FF FF-FF 03-00 00-00>"},
+        IcmpCase{net::IcmpType::ParameterProblem, FlowClass::IcmpBackscatter,
+                 "8-byte object <0C-00 00-00 03-00 00-00>"},
+        IcmpCase{net::IcmpType::TimestampReply, FlowClass::IcmpBackscatter,
+                 "8-byte object <0E-5C 15-62 03-00 00-00>"},
+        IcmpCase{net::IcmpType::InformationReply, FlowClass::IcmpBackscatter,
+                 "8-byte object <10-00 00-00 03-00 00-00>"},
+        IcmpCase{net::IcmpType::AddressMaskReply, FlowClass::IcmpBackscatter,
+                 "8-byte object <12-3A 15-62 03-00 00-00>"},
+        IcmpCase{net::IcmpType::TimestampRequest, FlowClass::IcmpOther,
+                 "8-byte object <0D-1D 15-62 06-00 00-00>"},
+        IcmpCase{net::IcmpType::InformationRequest, FlowClass::IcmpOther,
+                 "8-byte object <0F-5F A7-D8 06-00 00-00>"},
+        IcmpCase{net::IcmpType::AddressMaskRequest, FlowClass::IcmpOther,
+                 "8-byte object <11-4B BE-4B 06-00 00-00>"}));
 
 TEST(Taxonomy, StrictOptionsNarrowBackscatter) {
   TaxonomyOptions strict;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/characterize.hpp"
 #include "workload/spec.hpp"
 
@@ -296,6 +299,142 @@ TEST_F(PipelineTest, DevicesWithNoTrafficAreNotDiscovered) {
   EXPECT_EQ(report.traffic_for(0), nullptr);
   EXPECT_EQ(report.traffic_for(1), nullptr);
   EXPECT_NE(report.traffic_for(2), nullptr);
+}
+
+// ---------------- cross-hour folds under every scheduler ----------------
+//
+// The distinct-device counts per UDP port and per scan service are kept
+// at fan-in, from each hour's (key, device) pairs of every worker
+// partial. These run the hand-built hours at {1, 4} threads under the
+// morsel-stealing and task-graph schedulers, where one device's records
+// can land in several partials.
+
+struct SchedulerCell {
+  unsigned threads;
+  ShardScheduler scheduler;
+};
+
+constexpr SchedulerCell kFoldCells[] = {
+    {1, ShardScheduler::Stealing},
+    {4, ShardScheduler::Stealing},
+    {1, ShardScheduler::Graph},
+    {4, ShardScheduler::Graph},
+};
+
+Report run_cell(const IoTDeviceDatabase& db, const SchedulerCell& cell,
+                const std::vector<net::HourlyFlows>& hours) {
+  PipelineOptions options;
+  options.threads = cell.threads;
+  options.scheduler = cell.scheduler;
+  AnalysisPipeline pipeline(db, options);
+  for (const auto& flows : hours) {
+    net::FlowBatch batch;
+    batch.assign_rows(flows);
+    pipeline.observe_async(std::move(batch));
+  }
+  return pipeline.finalize();
+}
+
+TEST_F(PipelineTest, UdpTopPortsCutAtRank32OrdersTiesByPort) {
+  // 28 ports with distinct totals (ranks 1..28; one pair tied at the
+  // top), then 12 ports tied at 500 packets (ranks 29..40) straddling
+  // the 32-row cut, then one straggler. Every port's packets are split
+  // between the router (hour 0) and the camera (hour 1), and the tied
+  // ports are sent in scrambled order.
+  struct Expected {
+    net::Port port;
+    std::uint64_t packets;
+  };
+  std::vector<Expected> all;
+  std::vector<net::FlowTuple> hour0, hour1;
+  const auto send = [&](net::Port port, std::uint64_t packets) {
+    all.push_back({port, packets});
+    hour0.push_back(
+        flow(router_, net::Protocol::Udp, 0, port, packets - 200));
+    hour1.push_back(flow(camera_, net::Protocol::Udp, 0, port, 200));
+  };
+  send(3001, 1000);
+  send(3000, 1000);
+  for (net::Port i = 2; i < 28; ++i) send(3000 + i, 1000 - 10 * i);
+  for (const net::Port port : {4011, 4003, 4007, 4001, 4010, 4005, 4000, 4009,
+                               4002, 4008, 4004, 4006}) {
+    send(port, 500);
+  }
+  send(2000, 250);
+  std::sort(all.begin(), all.end(), [](const Expected& a, const Expected& b) {
+    if (a.packets != b.packets) return a.packets > b.packets;
+    return a.port < b.port;
+  });
+  all.resize(32);
+
+  for (const SchedulerCell& cell : kFoldCells) {
+    SCOPED_TRACE(testing::Message() << cell.threads << " threads, scheduler "
+                                    << static_cast<int>(cell.scheduler));
+    const auto report =
+        run_cell(db_, cell, {hour(0, hour0), hour(1, hour1)});
+    ASSERT_EQ(report.udp_top_ports.size(), 32u);
+    for (std::size_t r = 0; r < 32; ++r) {
+      EXPECT_EQ(report.udp_top_ports[r].port, all[r].port) << "rank " << r;
+      EXPECT_EQ(report.udp_top_ports[r].packets, all[r].packets);
+      EXPECT_EQ(report.udp_top_ports[r].devices, 2u);
+    }
+    EXPECT_EQ(report.udp_top_ports[0].port, 3000);
+    EXPECT_EQ(report.udp_top_ports[1].port, 3001);
+    // The cut keeps the four lowest-numbered of the twelve tied ports.
+    EXPECT_EQ(report.udp_top_ports[28].port, 4000);
+    EXPECT_EQ(report.udp_top_ports[31].port, 4003);
+    EXPECT_EQ(report.udp_distinct_ports, 41u);
+  }
+}
+
+TEST_F(PipelineTest, DeviceSplitAcrossMorselsAndHoursCountsOnce) {
+  // The router sends 3,000 UDP records to one port and 3,000 telnet
+  // scans in each of two hours: 6,000 records an hour, so its one
+  // partition bucket spans three 2,048-record morsels that different
+  // workers may claim, and each hour may put it in different partials.
+  // Its port row and its service row must still count it once — a
+  // per-partial count would see it up to six times.
+  static_assert(kMorselRecords < 3000);
+  const auto hour_of = [&](int interval) {
+    std::vector<net::FlowTuple> records;
+    for (std::uint32_t i = 0; i < 3000; ++i) {
+      records.push_back(flow(router_, net::Protocol::Udp, 0, 5353, 1, i));
+      records.push_back(
+          flow(router_, net::Protocol::Tcp, net::kSyn, 23, 1, i));
+    }
+    return hour(interval, std::move(records));
+  };
+  auto second = hour_of(1);
+  second.records.push_back(flow(plc_, net::Protocol::Tcp, net::kSyn, 23, 1));
+  const auto telnet =
+      static_cast<std::size_t>(workload::scan_service_index("Telnet"));
+
+  for (const SchedulerCell& cell : kFoldCells) {
+    SCOPED_TRACE(testing::Message() << cell.threads << " threads, scheduler "
+                                    << static_cast<int>(cell.scheduler));
+    const auto report = run_cell(db_, cell, {hour_of(0), second});
+    ASSERT_EQ(report.udp_top_ports.size(), 1u);
+    EXPECT_EQ(report.udp_top_ports[0].port, 5353);
+    EXPECT_EQ(report.udp_top_ports[0].packets, 6000u);
+    EXPECT_EQ(report.udp_top_ports[0].devices, 1u);
+    EXPECT_EQ(report.scan_services[telnet].packets, 6001u);
+    EXPECT_EQ(report.scan_services[telnet].consumer_devices, 1u);
+    EXPECT_EQ(report.scan_services[telnet].cps_devices, 1u);
+
+    // One ledger, discovered first, holding both hours.
+    ASSERT_EQ(report.devices.size(), 2u);
+    EXPECT_EQ(report.devices[0].device, 0u);
+    EXPECT_EQ(report.devices[1].device, 2u);
+    const auto* router = report.traffic_for(0);
+    ASSERT_NE(router, nullptr);
+    EXPECT_EQ(router->packets, 12000u);
+    EXPECT_EQ(router->udp, 6000u);
+    EXPECT_EQ(router->tcp_scan, 6000u);
+    EXPECT_EQ(router->first_interval, 0);
+    EXPECT_EQ(router->last_interval, 1);
+    EXPECT_EQ(report.udp_device_count, 1u);
+    EXPECT_EQ(report.scanner_devices, 2u);
+  }
 }
 
 }  // namespace
